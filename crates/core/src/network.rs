@@ -84,7 +84,11 @@ pub struct TapestryNetwork {
     seed: u64,
     /// Per-op completion callback, invoked once for every locate result
     /// collected through [`TapestryNetwork::take_results`] /
-    /// [`TapestryNetwork::drain_results`].
+    /// [`TapestryNetwork::drain_results`]. Results wait at their origin
+    /// until collected; each completion also puts the origin on the
+    /// engine's ready list ([`TapestryNetwork::take_ready_origins`]), so
+    /// a driver with many locates in flight visits only origins that
+    /// have results instead of polling every one.
     locate_hook: Option<LocateHook>,
     /// Event budget for each `run_to_idle` call.
     pub max_events_per_op: u64,
@@ -523,6 +527,8 @@ impl TapestryNetwork {
 
     /// Collect finished locate results queued at `origin`. Each result
     /// passes through the completion hook (if set) exactly once.
+    /// Collecting does not touch the ready list: `origin` stays on it
+    /// until the next [`TapestryNetwork::take_ready_origins`].
     pub fn take_results(&mut self, origin: NodeIdx) -> Vec<LocateResult> {
         let results =
             self.engine.node_mut(origin).map(|n| n.take_locate_results()).unwrap_or_default();
@@ -532,6 +538,17 @@ impl TapestryNetwork {
             }
         }
         results
+    }
+
+    /// Origins where a locate completed since the previous call, once
+    /// each, in the order of their first completion. A driver that calls
+    /// [`TapestryNetwork::take_results`] on every listed origin after
+    /// each call leaves no result uncollected. May name members that
+    /// have died since; their results died with them. The list holds at
+    /// most one entry per point, so a driver that never drains it costs
+    /// nothing unbounded.
+    pub fn take_ready_origins(&mut self) -> Vec<NodeIdx> {
+        self.engine.take_notified()
     }
 
     /// Collect finished locate results from *every* live member, in node

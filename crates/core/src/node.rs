@@ -253,6 +253,11 @@ impl TapestryNode {
         self.repair.len()
     }
 
+    /// Completed locate operations awaiting collection.
+    pub fn uncollected_results(&self) -> usize {
+        self.locate_results.len()
+    }
+
     /// Drain completed locate operations.
     pub fn take_locate_results(&mut self) -> Vec<LocateResult> {
         std::mem::take(&mut self.locate_results)

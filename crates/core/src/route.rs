@@ -249,7 +249,8 @@ impl TapestryNode {
         self.handle_routed(ctx, None, m);
     }
 
-    /// Origin-side completion: record the result for the driver.
+    /// Origin-side completion: record the result for the driver and put
+    /// this origin on the engine's ready list.
     pub(crate) fn on_locate_done(
         &mut self,
         ctx: &mut Ctx<'_, Msg, Timer>,
@@ -272,6 +273,7 @@ impl TapestryNode {
             issued_at,
             completed_at: ctx.now,
         });
+        ctx.notify_driver();
     }
 }
 

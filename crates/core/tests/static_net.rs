@@ -243,3 +243,61 @@ fn sampled_distinct_roots_agree_with_exhaustive() {
         );
     }
 }
+
+/// Every origin holding a completed locate is on the ready list, once,
+/// and the list's order is the same at every thread count: locates from
+/// all 300 members start at one instant, enough for the engine's
+/// parallel same-instant drain.
+#[test]
+fn ready_origins_cover_every_completed_locate() {
+    let n = 300;
+    let run = |threads| {
+        let space = TorusSpace::random(n, 1000.0, 31);
+        let mut net = TapestryNetwork::build_threaded(
+            TapestryConfig::default(),
+            Box::new(space),
+            31,
+            threads,
+        );
+        let guid = net.random_guid();
+        net.publish(0, guid);
+        assert!(net.take_ready_origins().is_empty(), "publishing completes no locate");
+        for origin in 0..n {
+            net.locate_async(origin, guid);
+        }
+        net.run_to_idle();
+        let ready = net.take_ready_origins();
+        let with_results: Vec<usize> =
+            (0..n).filter(|&o| !net.take_results(o).is_empty()).collect();
+        assert_eq!(with_results.len(), n, "every locate completed");
+        let mut listed = ready.clone();
+        listed.sort_unstable();
+        listed.dedup();
+        assert_eq!(listed.len(), ready.len(), "each origin listed once");
+        assert_eq!(listed, with_results, "ready list = origins holding results");
+        assert!(net.take_ready_origins().is_empty(), "taking drains the list");
+        ready
+    };
+    assert_eq!(run(1), run(2), "ready-list order is thread-count independent");
+}
+
+/// A driver that never drains the ready list (synchronous `locate`
+/// collects through `take_results` only) leaves at most one entry per
+/// node on it.
+#[test]
+fn ready_list_is_bounded_without_draining() {
+    let n = 64;
+    let mut net = net(n, 41);
+    let guid = net.random_guid();
+    net.publish(3, guid);
+    for _ in 0..10 * n {
+        let origin = net.random_member();
+        assert!(net.locate(origin, guid).is_some(), "locate completes");
+    }
+    let ready = net.take_ready_origins();
+    assert!(ready.len() <= n, "{} entries for {n} nodes", ready.len());
+    let mut listed = ready.clone();
+    listed.sort_unstable();
+    listed.dedup();
+    assert_eq!(listed.len(), ready.len(), "each origin listed once");
+}

@@ -44,6 +44,7 @@ pub trait Actor {
 enum Effect<M, T> {
     Send { to: NodeIdx, msg: M },
     Timer { delay: SimTime, timer: T },
+    Notify,
 }
 
 /// Handler-side view of the engine: lets a node send messages, set timers
@@ -72,6 +73,14 @@ impl<M, T> Ctx<'_, M, T> {
     /// Arm a timer that fires on this node after `delay`.
     pub fn set_timer(&mut self, delay: SimTime, timer: T) {
         self.out.push(Effect::Timer { delay, timer });
+    }
+
+    /// Tell the driver this node has output waiting for it (e.g. a
+    /// completed operation). The node joins the engine's ready list,
+    /// drained by [`Engine::take_notified`], so drivers visit only
+    /// nodes that have something for them instead of polling all.
+    pub fn notify_driver(&mut self) {
+        self.out.push(Effect::Notify);
     }
 
     /// Metric distance between two nodes.
@@ -248,6 +257,14 @@ pub struct Engine<A: Actor> {
     /// the return latency), feeding [`Actor::on_contact_failed`].
     /// Off by default: the silent drop is the pre-repair contract.
     failure_notices: bool,
+    /// Nodes that called [`Ctx::notify_driver`] since the last
+    /// [`Engine::take_notified`], in effect-application order (= pop
+    /// order on both drains, so identical at every thread count).
+    notified: Vec<NodeIdx>,
+    /// Per-point "already in `notified`" flag: each node appears at most
+    /// once, so the list never outgrows the population even when no
+    /// driver drains it.
+    is_notified: Vec<bool>,
 }
 
 impl<A: Actor> Engine<A> {
@@ -280,6 +297,8 @@ impl<A: Actor> Engine<A> {
             race_reports: Vec::new(),
             race_panic: true,
             failure_notices: false,
+            notified: Vec::new(),
+            is_notified: vec![false; n],
         }
     }
 
@@ -294,6 +313,16 @@ impl<A: Actor> Engine<A> {
     /// Are transport failure notices enabled?
     pub fn failure_notices(&self) -> bool {
         self.failure_notices
+    }
+
+    /// Drain the ready list: every node that called
+    /// [`Ctx::notify_driver`] since the previous call, once each, in the
+    /// order of their first notification. Nodes may have died since.
+    pub fn take_notified(&mut self) -> Vec<NodeIdx> {
+        for &idx in &self.notified {
+            self.is_notified[idx] = false;
+        }
+        std::mem::take(&mut self.notified)
     }
 
     /// Is the same-instant race detector compiled into this build?
@@ -547,10 +576,11 @@ impl<A: Actor> Engine<A> {
     }
 
     /// Apply one buffered handler effect from `node`: account the send
-    /// and schedule the resulting event. Shared verbatim by the
-    /// sequential and batched drains — sequence assignment and the
-    /// `stats.distance` float accumulation happen here, in application
-    /// order, which is what keeps the two paths byte-identical.
+    /// and schedule the resulting event, or enter `node` on the ready
+    /// list. Shared verbatim by the sequential and batched drains —
+    /// sequence assignment, the `stats.distance` float accumulation and
+    /// the ready list's order happen here, in application order, which
+    /// is what keeps the two paths byte-identical.
     fn apply_effect(&mut self, node: NodeIdx, eff: Effect<A::Msg, A::Timer>) {
         match eff {
             Effect::Send { to, msg } => {
@@ -563,6 +593,12 @@ impl<A: Actor> Engine<A> {
             Effect::Timer { delay, timer } => {
                 let at = self.now + delay;
                 self.push(at, Event::Fire { node, timer });
+            }
+            Effect::Notify => {
+                if !self.is_notified[node] {
+                    self.is_notified[node] = true;
+                    self.notified.push(node);
+                }
             }
         }
     }
@@ -1279,6 +1315,83 @@ mod tests {
         };
         assert_eq!(run(1), run(4), "threaded drain diverged from sequential");
         assert_eq!(run(4), run(2), "thread counts must agree with each other");
+    }
+
+    /// Notifies the driver twice on every receipt and forwards `msg - 1`
+    /// to the node three places on, so one node notifies many times.
+    struct Notifier {
+        n: usize,
+    }
+
+    impl Actor for Notifier {
+        type Msg = u32;
+        type Timer = ();
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u32, ()>, _from: NodeIdx, msg: u32) {
+            ctx.notify_driver();
+            ctx.notify_driver();
+            if msg > 0 {
+                ctx.send((ctx.me + 3) % self.n, msg - 1);
+            }
+        }
+
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, u32, ()>, _timer: ()) {}
+    }
+
+    fn notifier_engine(n: usize, threads: usize) -> Engine<Notifier> {
+        let mut e = Engine::new(Box::new(RingSpace::even(n, 1000.0)), SimTime(1));
+        e.set_threads(threads);
+        for i in 0..n {
+            e.add_node(i, Notifier { n });
+        }
+        e
+    }
+
+    /// 300 same-instant deliveries on distinct nodes clear
+    /// `PARALLEL_BATCH_MIN`, so at two threads the batched drain's absorb
+    /// path applies the notifications; the ready list must still come out
+    /// in the sequential engine's order — first-notification order, which
+    /// here is the (scrambled) injection order.
+    #[test]
+    fn ready_list_order_is_thread_count_independent() {
+        let n = 300;
+        assert!(n >= PARALLEL_BATCH_MIN);
+        let order: Vec<NodeIdx> = (0..n).map(|i| (i * 7 + 5) % n).collect();
+        let run = |threads: usize| {
+            let mut e = notifier_engine(n, threads);
+            for &i in &order {
+                e.inject(i, 4);
+            }
+            e.run_until_idle_threaded(100_000);
+            e.take_notified()
+        };
+        let seq = run(1);
+        assert_eq!(seq, order, "one entry per node, in first-notification order");
+        assert_eq!(run(2), seq, "batched drain diverged from sequential");
+    }
+
+    /// A node that notifies again before the driver drains stays a single
+    /// entry; after a drain it can enter again. Undrained, the list never
+    /// outgrows the population.
+    #[test]
+    fn ready_list_dedups_and_stays_bounded() {
+        let n = 8;
+        let mut e = notifier_engine(n, 1);
+        for _ in 0..5 {
+            e.inject(2, 0);
+        }
+        e.run_until_idle(100);
+        assert_eq!(e.take_notified(), vec![2], "five receipts, one entry");
+        assert!(e.take_notified().is_empty(), "taking drains the list");
+        e.inject(2, 0);
+        e.run_until_idle(100);
+        assert_eq!(e.take_notified(), vec![2], "drained nodes can enter again");
+        for round in 0..50u32 {
+            e.inject(round as usize % n, 40);
+        }
+        e.run_until_idle(100_000);
+        let ready = e.take_notified();
+        assert_eq!(ready.len(), n, "every node notified, each listed once");
     }
 
     /// `run_until_threaded` honors the deadline exactly like `run_until`.

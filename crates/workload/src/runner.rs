@@ -3,6 +3,11 @@
 //! simulated clock, harvesting per-op latency/hops/distance into
 //! log-bucketed histograms, and running the invariant spot-checks
 //! (Properties 1/2, Theorem 2 root uniqueness) between phases.
+//!
+//! Harvesting is event-driven: after every scripted event the runner
+//! collects results only from the origins the network reports ready
+//! ([`TapestryNetwork::take_ready_origins`]), so its cost follows the
+//! completed locates, not the number of origins with locates in flight.
 
 use crate::churn::ChurnEvent;
 use crate::report::{
@@ -257,9 +262,6 @@ pub fn run_instrumented(
         let mut latency = Histogram::new();
         let mut hops = Histogram::new();
         let mut path_dist = Histogram::new();
-        // Origins with locates in flight → how many. Harvesting polls
-        // only these instead of sweeping every member per event.
-        let mut pending: BTreeMap<NodeIdx, u64> = BTreeMap::new();
 
         // ----- drive the phase -------------------------------------------
         for (t, action) in events {
@@ -284,7 +286,6 @@ pub fn run_instrumented(
                         } else {
                             net.locate_async(origin, obj.guid);
                         }
-                        *pending.entry(origin).or_insert(0) += 1;
                         ops.issued += 1;
                     }
                 }
@@ -303,7 +304,7 @@ pub fn run_instrumented(
                 c.pump(&mut net);
             }
             settle_membership(&mut net, &mut free, &mut joining, &mut leaving, &mut churn, false);
-            harvest(&mut net, &mut pending, &mut ops, &mut latency, &mut hops, &mut path_dist);
+            harvest(&mut net, &mut ops, &mut latency, &mut hops, &mut path_dist);
             poll_series(&net, &mut series);
         }
 
@@ -322,9 +323,14 @@ pub fn run_instrumented(
         }
         settle_membership(&mut net, &mut free, &mut joining, &mut leaving, &mut churn, true);
         net.run_to_idle();
-        harvest(&mut net, &mut pending, &mut ops, &mut latency, &mut hops, &mut path_dist);
+        harvest(&mut net, &mut ops, &mut latency, &mut hops, &mut path_dist);
+        debug_assert!(
+            net.members().iter().all(|&m| net.node(m).is_none_or(|n| n.uncollected_results() == 0)),
+            "a live origin holds locate results its completion never announced"
+        );
         poll_series(&net, &mut series);
-        pending.clear(); // whatever is left can never complete
+        // Locates still unanswered can never complete now (the network
+        // is idle); those whose origin died took their results with it.
         ops.lost = ops.issued.saturating_sub(ops.completed);
 
         let invariants = if phase.checks && !net.partition_active() {
@@ -542,27 +548,22 @@ fn settle_membership(
 }
 
 /// Collect completed locates into the phase accumulators and the
-/// engine-level [`SimStats`] histograms. Only origins with ops still in
-/// flight are polled; results on dead origins are gone for good (their
-/// entries drop out and the ops count as lost).
+/// engine-level [`SimStats`] histograms. Only the origins on the
+/// network's ready list — those where a locate completed since the last
+/// harvest — are visited. Results on dead origins are gone for good:
+/// those ops count as lost.
 fn harvest(
     net: &mut TapestryNetwork,
-    pending: &mut BTreeMap<NodeIdx, u64>,
     ops: &mut OpStats,
     latency: &mut Histogram,
     hops: &mut Histogram,
     path_dist: &mut Histogram,
 ) {
     let mut results = Vec::new();
-    pending.retain(|&origin, in_flight| {
-        if !net.engine().alive(origin) {
-            return false;
-        }
-        let collected = net.take_results(origin);
-        *in_flight = in_flight.saturating_sub(collected.len() as u64);
-        results.extend(collected);
-        *in_flight > 0
-    });
+    for origin in net.take_ready_origins() {
+        // Empty for an origin that died since: its results died with it.
+        results.extend(net.take_results(origin));
+    }
     if results.is_empty() {
         return;
     }

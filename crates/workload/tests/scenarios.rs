@@ -152,3 +152,54 @@ fn runner_mirrors_distributions_into_simstats() {
     assert_eq!(report.total_latency.count, report.total_ops.completed);
     assert_eq!(report.total_hops.count, report.total_ops.completed);
 }
+
+/// Op outcomes of a kill-heavy churn run, pinned. At both seeds some
+/// origins are killed after a locate of theirs completed but before the
+/// runner harvested it: those results die with the origin and the ops
+/// count as `lost`, exactly as before harvesting became event-driven.
+#[test]
+fn kill_churn_outcomes_are_pinned() {
+    let spec = |seed| {
+        ScenarioSpec::new("kill-harvest")
+            .seed(seed)
+            .capacity(64)
+            .initial_nodes(48)
+            .objects(16)
+            .phase(
+                PhaseSpec::new("churn", d(60_000.0))
+                    .arrival(Arrival::Poisson { ops: 300 })
+                    .popularity(Popularity::Uniform)
+                    .churn(ChurnSpec::Churn {
+                        joins: 8,
+                        leaves: 40,
+                        graceful: false,
+                        min_nodes: 16,
+                    })
+                    .churn(ChurnSpec::MassFailure { at: 0.5, fraction: 0.5, correlated: false }),
+            )
+            .phase(
+                PhaseSpec::new("settle", d(20_000.0))
+                    .arrival(Arrival::Poisson { ops: 100 })
+                    .popularity(Popularity::Uniform)
+                    .checked(),
+            )
+    };
+    // Per phase: issued, completed, found_live, found_dead, not_found, lost.
+    let expected: [(u64, [[u64; 6]; 2]); 2] = [
+        (42, [[323, 189, 93, 96, 0, 134], [89, 41, 11, 30, 0, 48]]),
+        (43, [[313, 194, 138, 56, 0, 119], [98, 36, 19, 17, 0, 62]]),
+    ];
+    for (seed, phases) in expected {
+        let report = runner::run(&spec(seed)).unwrap();
+        let got: Vec<[u64; 6]> = report
+            .phases
+            .iter()
+            .map(|p| {
+                let o = &p.ops;
+                [o.issued, o.completed, o.found_live, o.found_dead, o.not_found, o.lost]
+            })
+            .collect();
+        assert_eq!(got, phases, "seed {seed}");
+        assert!(report.phases[0].churn.kills > 0, "seed {seed}: the spec must kill");
+    }
+}
